@@ -1,10 +1,15 @@
 //! Property tests over the cut-width machinery: optimality of the exact
-//! DP, validity of MLA arrangements, partitioner invariants.
+//! DP, validity of MLA arrangements, partitioner invariants, and a golden
+//! digest pinning the arrangements `estimate_cutwidth` returns on suite
+//! cones.
 
+use atpg_easy::atpg::fault;
+use atpg_easy::circuits::suite;
 use atpg_easy::cutwidth::fm::{bipartition, cut_size, FmConfig};
 use atpg_easy::cutwidth::mla::{self, MlaConfig};
 use atpg_easy::cutwidth::multilevel::bipartition_multilevel;
 use atpg_easy::cutwidth::{exact, ordering, Hypergraph};
+use atpg_easy::netlist::{decompose, topo};
 use proptest::prelude::*;
 
 fn small_hypergraph() -> impl Strategy<Value = Hypergraph> {
@@ -117,4 +122,48 @@ proptest! {
         let (w_free, _) = exact::min_cutwidth(&h);
         prop_assert!(w >= w_free);
     }
+}
+
+/// 64-bit FNV-1a, folded over little-endian `u64` words.
+fn fnv1a(hash: &mut u64, word: u64) {
+    for byte in word.to_le_bytes() {
+        *hash ^= u64::from(byte);
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// The MLA estimator must keep returning the same arrangement — width
+/// *and* order — on a fixed sample of Figure-8 fault cones: three evenly
+/// spaced fault nets per circuit of both suites, each cone extracted
+/// exactly as `figure8` extracts it. A change that moves any estimate
+/// changes the digest (and the committed `results/fig8*` files with it).
+#[test]
+fn mla_arrangements_match_golden_digest() {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut cones = 0u64;
+    let mut nodes = 0u64;
+    for c in suite::mcnc_like().into_iter().chain(suite::iscas_like()) {
+        let nl = decompose::decompose(&c.netlist, 3).expect("suite circuits decompose");
+        let mut nets: Vec<_> = fault::all_faults(&nl).iter().map(|f| f.net).collect();
+        nets.dedup();
+        for k in 1..=3 {
+            let net = nets[k * (nets.len() - 1) / 4];
+            let (sub, outs) = topo::fault_subcircuit_nets(&nl, net);
+            if outs.is_empty() {
+                continue;
+            }
+            let ext = topo::extract_marked(&nl, &sub, &outs);
+            let h = Hypergraph::from_netlist(&ext.netlist);
+            let (w, order) = mla::estimate_cutwidth(&h, &MlaConfig::default());
+            fnv1a(&mut hash, w as u64);
+            fnv1a(&mut hash, order.len() as u64);
+            for v in order {
+                fnv1a(&mut hash, v as u64);
+            }
+            cones += 1;
+            nodes += h.num_nodes() as u64;
+        }
+    }
+    assert_eq!((cones, nodes), (93, 21_073), "sample changed");
+    assert_eq!(hash, 0x2e01_01fb_e63e_5200, "MLA arrangements moved");
 }
