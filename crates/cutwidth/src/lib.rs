@@ -41,6 +41,7 @@ pub mod bb;
 pub mod directed;
 pub mod exact;
 pub mod fm;
+mod graph;
 mod hypergraph;
 pub mod io;
 pub mod mla;

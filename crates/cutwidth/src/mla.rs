@@ -9,10 +9,10 @@
 
 use atpg_easy_netlist::Netlist;
 
-use crate::fm::FmConfig;
-use crate::multilevel::bipartition_multilevel;
+use crate::fm::{Fm, FmConfig};
+use crate::graph::Graph;
 use crate::ordering::cutwidth;
-use crate::{exact, Hypergraph};
+use crate::{exact, multilevel, Hypergraph};
 
 /// Configuration for [`arrange`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,147 +62,142 @@ pub fn arrange(h: &Hypergraph, config: &MlaConfig) -> Vec<usize> {
         "leaf_size must be in 1..={}",
         exact::MAX_EXACT_NODES - 2
     );
-    let mut order = Vec::with_capacity(h.num_nodes());
-    let all: Vec<usize> = (0..h.num_nodes()).collect();
-    let mut region = vec![Region::Active; h.num_nodes()];
-    recurse(h, &all, config, config.fm.seed, &mut order, &mut region);
-    order
+    let n = h.num_nodes();
+    let mut a = Arranger {
+        root: Graph::from_hypergraph(h),
+        config,
+        region: vec![Region::Active; n],
+        local: vec![0; n],
+        edges: Vec::new(),
+        sub: Graph::default(),
+        masks: Vec::new(),
+        leaf: Vec::new(),
+        fm: Fm::default(),
+        tables: exact::Tables::default(),
+        out: Vec::with_capacity(n),
+    };
+    let all: Vec<usize> = (0..n).collect();
+    a.recurse(&all, config.fm.seed);
+    a.out
 }
 
-/// Builds the induced subgraph over `nodes` with up to two anchor
-/// pseudo-nodes summarizing edges that leave the window. Returns
-/// `(sub, back-map, anchor_left, anchor_right)`; anchor slots are `None`
-/// when no edge leaves in that direction.
-fn induced_with_anchors(
-    root: &Hypergraph,
-    nodes: &[usize],
-    region: &[Region],
-) -> (Hypergraph, Vec<usize>, Option<usize>, Option<usize>) {
-    let n_active = nodes.len();
-    let mut old_to_new = vec![usize::MAX; root.num_nodes()];
-    for (new, &old) in nodes.iter().enumerate() {
-        old_to_new[old] = new;
+/// The recursion's state and the scratch buffers its windows share.
+struct Arranger<'a> {
+    root: Graph,
+    config: &'a MlaConfig,
+    /// Exactly the current window's nodes are `Active`.
+    region: Vec<Region>,
+    /// Root node → index in the current window.
+    local: Vec<usize>,
+    /// Root edges touching the current window, ascending.
+    edges: Vec<usize>,
+    sub: Graph,
+    masks: Vec<u32>,
+    leaf: Vec<usize>,
+    fm: Fm,
+    tables: exact::Tables,
+    out: Vec<usize>,
+}
+
+impl Arranger<'_> {
+    /// Collects the root edges incident to the window `nodes`, in
+    /// ascending order, and numbers the window's nodes locally. The
+    /// window's anchors are local nodes `n` (left) and `n + 1` (right).
+    fn gather(&mut self, nodes: &[usize]) {
+        self.edges.clear();
+        for (i, &v) in nodes.iter().enumerate() {
+            self.local[v] = i;
+            self.edges.extend_from_slice(self.root.incident(v));
+        }
+        self.edges.sort_unstable();
+        self.edges.dedup();
     }
-    let anchor_l = n_active;
-    let anchor_r = n_active + 1;
-    let mut used_l = false;
-    let mut used_r = false;
-    let mut edges = Vec::new();
-    for e in root.edges() {
-        let mut proj: Vec<usize> = Vec::new();
-        let (mut to_l, mut to_r) = (false, false);
-        for &v in e {
-            let nv = old_to_new[v];
-            if nv != usize::MAX {
-                proj.push(nv);
-            } else {
-                match region[v] {
+
+    /// The local pin of root node `u` in a window of `n` nodes: itself
+    /// when active, else the anchor on its side.
+    fn pin(&self, u: usize, n: usize) -> usize {
+        match self.region[u] {
+            Region::Active => self.local[u],
+            Region::Left => n,
+            Region::Right => n + 1,
+        }
+    }
+
+    /// Builds the window's sub-hypergraph: each gathered edge keeps its
+    /// active pins in root order, followed by the left and then the right
+    /// anchor when it leaves the window on that side.
+    fn induce(&mut self, n: usize) {
+        self.sub.reset(n + 2);
+        for &e in &self.edges {
+            let (mut to_l, mut to_r) = (false, false);
+            for &u in self.root.edge(e) {
+                match self.region[u] {
+                    Region::Active => self.sub.push_pin(self.local[u]),
                     Region::Left => to_l = true,
                     Region::Right => to_r = true,
-                    Region::Active => unreachable!("active nodes are in the window"),
                 }
             }
-        }
-        if proj.is_empty() {
-            continue;
-        }
-        if to_l {
-            proj.push(anchor_l);
-            used_l = true;
-        }
-        if to_r {
-            proj.push(anchor_r);
-            used_r = true;
-        }
-        if proj.len() >= 2 {
-            edges.push(proj);
-        }
-    }
-    let sub = Hypergraph::new(n_active + 2, edges);
-    (
-        sub,
-        nodes.to_vec(),
-        used_l.then_some(anchor_l),
-        used_r.then_some(anchor_r),
-    )
-}
-
-fn recurse(
-    root: &Hypergraph,
-    nodes: &[usize],
-    config: &MlaConfig,
-    seed: u64,
-    out: &mut Vec<usize>,
-    region: &mut [Region],
-) {
-    if nodes.is_empty() {
-        return;
-    }
-    let (sub, back, al, ar) = induced_with_anchors(root, nodes, region);
-    let n_active = nodes.len();
-    if n_active <= config.leaf_size {
-        // Anchors (when present) are pinned to the window ends.
-        let (_, local) = exact::min_cutwidth_anchored(&sub, Some(n_active), Some(n_active + 1));
-        for v in local {
-            if v < n_active {
-                out.push(back[v]);
-                region[back[v]] = Region::Left;
+            if to_l {
+                self.sub.push_pin(n);
             }
+            if to_r {
+                self.sub.push_pin(n + 1);
+            }
+            self.sub.end_edge();
         }
-        return;
+        self.sub.index();
     }
-    let mut fm = config.fm;
-    fm.seed = seed;
-    let la: Vec<usize> = al.into_iter().collect();
-    let ra: Vec<usize> = ar.into_iter().collect();
-    // The two anchor slots always exist in `sub`; pin the unused ones too
-    // so they never wander into the balance accounting.
-    let mut left_anchors = la;
-    let mut right_anchors = ra;
-    if left_anchors.is_empty() {
-        left_anchors.push(n_active);
-    }
-    if right_anchors.is_empty() {
-        right_anchors.push(n_active + 1);
-    }
-    let part = bipartition_multilevel(&sub, &left_anchors, &right_anchors, &fm);
-    let mut left: Vec<usize> = Vec::new();
-    let mut right: Vec<usize> = Vec::new();
-    for (v, &s) in part.side.iter().enumerate().take(n_active) {
-        if s {
-            right.push(back[v]);
-        } else {
-            left.push(back[v]);
+
+    fn recurse(&mut self, nodes: &[usize], seed: u64) {
+        if nodes.is_empty() {
+            return;
         }
+        let n = nodes.len();
+        self.gather(nodes);
+        if n <= self.config.leaf_size {
+            // Exact leaf; the anchors are pinned to the window ends.
+            self.masks.clear();
+            for &e in &self.edges {
+                let m = self
+                    .root
+                    .edge(e)
+                    .iter()
+                    .fold(0u32, |m, &u| m | 1 << self.pin(u, n));
+                self.masks.push(m);
+            }
+            self.tables
+                .solve(n + 2, &self.masks, Some(n), Some(n + 1), &mut self.leaf);
+            for &v in &self.leaf {
+                if v < n {
+                    self.out.push(nodes[v]);
+                    self.region[nodes[v]] = Region::Left;
+                }
+            }
+            return;
+        }
+        self.induce(n);
+        let mut fm = self.config.fm;
+        fm.seed = seed;
+        // Both anchor slots are pinned, used or not, so they never wander
+        // into the balance accounting.
+        let side = multilevel::bisect(&mut self.fm, &self.sub, &[n], &[n + 1], &fm);
+        let (mut left, mut right): (Vec<usize>, Vec<usize>) =
+            nodes.iter().partition(|&&v| !side[self.local[v]]);
+        // FM keeps both sides non-empty for n ≥ 2, but guard against collapse.
+        if left.is_empty() || right.is_empty() {
+            let mid = n / 2;
+            left = nodes[..mid].to_vec();
+            right = nodes[mid..].to_vec();
+        }
+        for &v in &right {
+            self.region[v] = Region::Right;
+        }
+        self.recurse(&left, seed.wrapping_mul(0x9E3779B9).wrapping_add(1));
+        for &v in &right {
+            self.region[v] = Region::Active;
+        }
+        self.recurse(&right, seed.wrapping_mul(0x9E3779B9).wrapping_add(2));
     }
-    // FM keeps both sides non-empty for n ≥ 2, but guard against collapse.
-    if left.is_empty() || right.is_empty() {
-        let mid = nodes.len() / 2;
-        left = nodes[..mid].to_vec();
-        right = nodes[mid..].to_vec();
-    }
-    for &v in &right {
-        region[v] = Region::Right;
-    }
-    recurse(
-        root,
-        &left,
-        config,
-        seed.wrapping_mul(0x9E3779B9).wrapping_add(1),
-        out,
-        region,
-    );
-    for &v in &right {
-        region[v] = Region::Active;
-    }
-    recurse(
-        root,
-        &right,
-        config,
-        seed.wrapping_mul(0x9E3779B9).wrapping_add(2),
-        out,
-        region,
-    );
 }
 
 /// Estimated minimum cut-width of a hypergraph: the cut-width under the
