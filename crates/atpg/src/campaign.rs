@@ -19,7 +19,7 @@ use rand::{RngExt, SeedableRng};
 use crate::certify::{CertifiedRun, StreamSink};
 use crate::driver::{CampaignDriver, DriverError};
 use crate::faultsim::{FaultSimulator, SimBuffers, WIDE_PATTERNS};
-use crate::{fault, miter, verify, Fault};
+use crate::{fault, miter, verify, Fault, IncrementalAtpg};
 
 /// Which solver backs the campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -378,51 +378,230 @@ fn build_driver(
     tracing: bool,
     certified: bool,
 ) -> CampaignDriver {
-    match CampaignDriver::try_new(nl.clone(), config, tracing, certified) {
-        Ok(driver) => driver,
-        Err(DriverError::Preflight(msg)) => panic!("{msg}"),
+    CampaignDriver::try_new(nl.clone(), config, tracing, certified)
+        .unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The campaign state both engines share: what the set-up builds, and the
+/// frontier that turns fault indices, in order, into records.
+///
+/// [`CampaignDriver`] steps this core inline with no worker thread;
+/// [`AtpgCampaign`](crate::AtpgCampaign) feeds the same frontier from
+/// its workers over a channel. Records are emitted in fault order, one
+/// per fault, so `result.records.len()` is the next fault index.
+pub(crate) struct CampaignCore {
+    /// The target faults, after the configured collapsing.
+    pub(crate) faults: Vec<Fault>,
+    /// Faults the static implication pre-pass proved redundant.
+    pub(crate) pruned: Vec<bool>,
+    /// Faults detected so far, by a random pattern or a committed test.
+    pub(crate) detected: Vec<bool>,
+    pub(crate) fs: FaultSimulator,
+    pub(crate) result: CampaignResult,
+}
+
+impl CampaignCore {
+    /// The one campaign set-up: the preflight, the target fault list, the
+    /// static-prune mask (all clear unless `config.static_prune`), the
+    /// fault simulator and the random-pattern phase, whose effective
+    /// patterns open the result's test set.
+    ///
+    /// # Errors
+    ///
+    /// With `config.preflight` set, a netlist that fails the lint
+    /// preflight returns [`DriverError::Preflight`] with the rendered
+    /// diagnostic report.
+    pub(crate) fn new(nl: &Netlist, config: &AtpgConfig) -> Result<Self, DriverError> {
+        if config.preflight {
+            let report = atpg_easy_lint::preflight(nl);
+            if report.has_errors() {
+                return Err(DriverError::Preflight(format!(
+                    "netlist `{}` failed ATPG preflight:\n{}",
+                    nl.name(),
+                    report.render_human()
+                )));
+            }
+        }
+        let faults = if config.dominance {
+            fault::collapse_with_dominance(nl)
+        } else if config.collapse {
+            fault::collapse(nl)
+        } else {
+            fault::all_faults(nl)
+        };
+        let pruned = if config.static_prune {
+            let analysis = atpg_easy_implic::analyze(nl);
+            faults
+                .iter()
+                .map(|f| analysis.is_redundant(f.net, f.stuck))
+                .collect()
+        } else {
+            vec![false; faults.len()]
+        };
+        let fs = FaultSimulator::with_cones(nl);
+        let mut detected = vec![false; faults.len()];
+        let tests = random_phase(nl, config, &fs, &faults, &mut detected);
+        Ok(CampaignCore {
+            result: CampaignResult {
+                records: Vec::with_capacity(faults.len()),
+                tests,
+            },
+            faults,
+            pruned,
+            detected,
+            fs,
+        })
+    }
+
+    /// The frontier step at fault `i`: a pruned fault gets its static
+    /// record and a detected one its simulated record; otherwise the
+    /// solver verdict from `verdict` is committed. The record is appended
+    /// to the result and returned. Returns `None`, emitting nothing, when
+    /// the fault needs a verdict and `verdict` has none yet.
+    pub(crate) fn step(
+        &mut self,
+        i: usize,
+        verdict: impl FnOnce(&Self) -> Option<Verdict>,
+        publish: impl FnMut(usize),
+    ) -> Option<&FaultRecord> {
+        let f = self.faults[i];
+        let record = if self.pruned[i] {
+            unsolved_record(f, FaultOutcome::StaticallyRedundant)
+        } else if self.detected[i] {
+            unsolved_record(f, FaultOutcome::DetectedBySimulation)
+        } else {
+            let verdict = verdict(self)?;
+            self.commit(i, verdict, publish)
+        };
+        self.result.records.push(record);
+        self.result.records.last()
+    }
+
+    /// Commits the solver verdict on fault `i` without emitting it: a
+    /// detected fault and every fault its test drops become detected,
+    /// each newly detected index is passed to `publish`, and the test
+    /// joins the result. Returns the record for the caller to emit.
+    pub(crate) fn commit(
+        &mut self,
+        i: usize,
+        verdict: Verdict,
+        mut publish: impl FnMut(usize),
+    ) -> FaultRecord {
+        if let FaultOutcome::Detected(vector) = &verdict.record.outcome {
+            let hits = verdict.hits.iter().flatten().enumerate();
+            let drops = hits.filter(|&(_, &hit)| hit).map(|(j, _)| j);
+            for j in std::iter::once(i).chain(drops) {
+                if !self.detected[j] {
+                    self.detected[j] = true;
+                    publish(j);
+                }
+            }
+            self.result.tests.push(vector.clone());
+        }
+        verdict.record
     }
 }
 
-/// Runs the preflight lint if the config asks for it.
-///
-/// # Panics
-///
-/// Panics with the rendered diagnostic report on lint errors.
-pub(crate) fn check_preflight(nl: &Netlist, config: &AtpgConfig) {
-    if config.preflight {
-        let report = atpg_easy_lint::preflight(nl);
-        assert!(
-            !report.has_errors(),
-            "netlist `{}` failed ATPG preflight:\n{}",
-            nl.name(),
-            report.render_human()
-        );
+/// The record of a fault retired without a SAT instance: by the static
+/// pre-pass or by simulation.
+fn unsolved_record(f: Fault, outcome: FaultOutcome) -> FaultRecord {
+    FaultRecord {
+        fault: f,
+        outcome,
+        sat_vars: 0,
+        sat_clauses: 0,
+        sub_size: 0,
+        solve_time: Duration::ZERO,
+        stats: SolverStats::default(),
     }
 }
 
-/// The fault list the campaign targets, after the configured collapsing.
-pub(crate) fn target_faults(nl: &Netlist, config: &AtpgConfig) -> Vec<Fault> {
-    if config.dominance {
-        fault::collapse_with_dominance(nl)
-    } else if config.collapse {
-        fault::collapse(nl)
-    } else {
-        fault::all_faults(nl)
+/// A solver verdict on its way to the frontier: the record and, for a
+/// detected fault under fault dropping, one flag per campaign fault
+/// telling whether the fault's test detects it.
+pub(crate) struct Verdict {
+    pub(crate) record: FaultRecord,
+    pub(crate) hits: Option<Vec<bool>>,
+}
+
+impl Verdict {
+    /// Wraps `record`, simulating a detected fault's test against every
+    /// campaign fault when `config.fault_dropping` is on.
+    pub(crate) fn new(
+        nl: &Netlist,
+        config: &AtpgConfig,
+        fs: &FaultSimulator,
+        faults: &[Fault],
+        record: FaultRecord,
+        bufs: &mut SimBuffers,
+    ) -> Self {
+        let hits = match &record.outcome {
+            FaultOutcome::Detected(vector) if config.fault_dropping => {
+                Some(fs.detect_batch_with(nl, std::slice::from_ref(vector), faults, bufs))
+            }
+            _ => None,
+        };
+        Verdict { record, hits }
+    }
+}
+
+/// How a campaign solves its faults: the one place that chooses between
+/// a fresh solver per fault and a warm incremental solver.
+pub(crate) enum FaultSolver {
+    /// A fresh `config.solver` instance per fault, as in [`solve_one`].
+    Fresh,
+    /// One persistent assumption-based CDCL solver per campaign (or per
+    /// parallel worker).
+    Warm(Box<IncrementalAtpg>),
+}
+
+impl FaultSolver {
+    /// The solver `config.incremental` selects. With `sink`, a warm
+    /// solver's fault-free base encoding is recorded as its axioms, so
+    /// every later guarded group and derivation checks against it.
+    pub(crate) fn new(nl: &Netlist, config: &AtpgConfig, sink: Option<&mut StreamSink>) -> Self {
+        if !config.incremental {
+            return FaultSolver::Fresh;
+        }
+        let warm = IncrementalAtpg::new(nl, config);
+        if let Some(sink) = sink {
+            sink.reset();
+            for clause in warm.base_formula.clauses() {
+                sink.axiom(clause);
+            }
+        }
+        FaultSolver::Warm(Box::new(warm))
+    }
+
+    /// Solves fault `f`. With `probe`, the solve is observed through it;
+    /// with `cert`, the instance is logged into the sink as solve number
+    /// `index`. The record is the same either way.
+    pub(crate) fn solve(
+        &mut self,
+        nl: &Netlist,
+        f: Fault,
+        config: &AtpgConfig,
+        probe: Option<&mut CountingProbe>,
+        cert: Option<(usize, &mut StreamSink)>,
+    ) -> FaultRecord {
+        match self {
+            FaultSolver::Fresh => solve_instance(nl, f, config, probe, cert),
+            FaultSolver::Warm(warm) => warm.solve_fault_with(f, config, probe, cert),
+        }
     }
 }
 
 /// Phase 1: simulates `config.random_patterns` random vectors against the
 /// fault list, marking hits in `detected`, and returns the batches that
-/// retired at least one new fault. Deterministic in `config.seed`; the
-/// parallel engine runs this identically (single-threaded) before fanning
-/// out, which is what makes its output thread-count independent.
+/// retired at least one new fault. Deterministic in `config.seed`, and
+/// run single-threaded by both engines before any solving, which is what
+/// makes the parallel engine's output thread-count independent.
 ///
 /// Batches are [`WIDE_PATTERNS`] (256) patterns wide: one block-parallel
 /// pass per batch retires four word-widths of patterns at the cost of a
 /// single cone resimulation per fault, with every per-net buffer reused
 /// across batches.
-pub(crate) fn random_phase(
+fn random_phase(
     nl: &Netlist,
     config: &AtpgConfig,
     fs: &FaultSimulator,
@@ -457,82 +636,14 @@ pub(crate) fn random_phase(
     tests
 }
 
-/// The record for a fault retired by simulation (no SAT instance built).
-pub(crate) fn simulated_record(f: Fault) -> FaultRecord {
-    FaultRecord {
-        fault: f,
-        outcome: FaultOutcome::DetectedBySimulation,
-        sat_vars: 0,
-        sat_clauses: 0,
-        sub_size: 0,
-        solve_time: Duration::ZERO,
-        stats: SolverStats::default(),
-    }
-}
-
-/// The record for a fault retired by the static implication pre-pass
-/// (no SAT instance built).
-pub(crate) fn static_redundant_record(f: Fault) -> FaultRecord {
-    FaultRecord {
-        fault: f,
-        outcome: FaultOutcome::StaticallyRedundant,
-        sat_vars: 0,
-        sat_clauses: 0,
-        sub_size: 0,
-        solve_time: Duration::ZERO,
-        stats: SolverStats::default(),
-    }
-}
-
-/// The faults of `faults` proved redundant by the static implication
-/// pre-pass, as a parallel `bool` mask. Shared by the sequential driver
-/// and the parallel engine so both prune the identical set.
-pub(crate) fn static_prune_mask(nl: &Netlist, faults: &[Fault]) -> Vec<bool> {
-    let analysis = atpg_easy_implic::analyze(nl);
-    faults
-        .iter()
-        .map(|f| analysis.is_redundant(f.net, f.stuck))
-        .collect()
-}
-
 /// Builds, encodes and solves the ATPG-SAT instance for one fault.
 ///
 /// Deterministic apart from the wall-clock `solve_time` field (and any
 /// wall-clock limit in `config.limits`): identical inputs produce an
-/// identical record. Both the sequential and the parallel campaign engines
-/// funnel through this.
+/// identical record. This is the from-scratch reference that campaigns
+/// with [`AtpgConfig::incremental`] unset run for every solved fault.
 pub fn solve_one(nl: &Netlist, f: Fault, config: &AtpgConfig) -> FaultRecord {
     solve_instance(nl, f, config, None, None)
-}
-
-/// Like [`solve_one`], but observes the solve through a [`CountingProbe`]
-/// and returns the probe-derived per-instance event totals alongside the
-/// record. The record itself is identical to what [`solve_one`] produces.
-pub(crate) fn solve_one_counted(
-    nl: &Netlist,
-    f: Fault,
-    config: &AtpgConfig,
-) -> (FaultRecord, Counters) {
-    let mut probe = CountingProbe::default();
-    let record = solve_instance(nl, f, config, Some(&mut probe), None);
-    (record, probe.counters)
-}
-
-/// Like [`solve_one_counted`], but additionally logs the instance into
-/// `sink` as a from-scratch certified solve: a
-/// [`Reset`](atpg_easy_proof::Event::Reset), the instance's formula as
-/// axioms, and a `SolveBegin(index)`/`SolveEnd` bracket around the
-/// solver's derivations.
-pub(crate) fn solve_one_certified(
-    nl: &Netlist,
-    f: Fault,
-    config: &AtpgConfig,
-    index: usize,
-    sink: &mut StreamSink,
-) -> (FaultRecord, Counters) {
-    let mut probe = CountingProbe::default();
-    let record = solve_instance(nl, f, config, Some(&mut probe), Some((index, sink)));
-    (record, probe.counters)
 }
 
 /// The Figure-1 outcome label of a fault record: `"SAT"`, `"UNSAT"`,

@@ -10,18 +10,21 @@
 //! [`audit_stream`](atpg_easy_proof::audit_stream) — and the lint `P*`
 //! pass built on it — replays through the independent checker.
 //!
-//! Both campaign engines speak this format:
+//! The campaign's one fault-solver dispatch writes this format, given a
+//! sink and the solve's index:
 //!
-//! - the **from-scratch** path emits [`Event::Reset`] and re-records the
-//!   instance's formula before each solve;
-//! - the **incremental** path records the fault-free base encoding once,
-//!   then each fault's activation-guarded clauses (and the retiring
-//!   `¬a_ψ` clamp) as further axioms, with each solve bracketed under
-//!   its assumption — so learnt clauses carried across faults check
-//!   against the same live database the warm solver saw.
+//! - the **from-scratch** solver emits [`Event::Reset`] and re-records
+//!   the instance's formula before each solve;
+//! - the **incremental** solver has the fault-free base encoding
+//!   recorded once, when it is built, then each fault's
+//!   activation-guarded clauses (and the retiring `¬a_ψ` clamp) as
+//!   further axioms, with each solve bracketed under its assumption — so
+//!   learnt clauses carried across faults check against the same live
+//!   database the warm solver saw.
 //!
 //! Entry points: [`campaign::run_certified`](crate::campaign::run_certified)
-//! (sequential, one stream) and
+//! and a [`CampaignDriver`](crate::CampaignDriver) built certified
+//! (sequential, one stream), and
 //! [`AtpgCampaign::with_certification`](crate::AtpgCampaign::with_certification)
 //! (parallel, one independently-auditable stream per worker).
 

@@ -1,14 +1,14 @@
-//! A resumable, owning campaign handle: the sequential TEGUS loop of
-//! [`campaign::run`] unrolled into a state machine that is driven one
-//! fault at a time.
+//! A resumable, owning campaign handle: the campaign core stepped inline
+//! with no worker thread, one fault at a time.
 //!
 //! [`CampaignDriver`] is the primitive the serving layer schedules:
-//! construction performs the preflight, fault enumeration and the
-//! random-pattern phase; every [`CampaignDriver::step`] then solves (or
-//! sim-retires) exactly one fault and returns its record. Between steps a
-//! scheduler can park the driver, tighten its wall budget against an
-//! approaching deadline ([`CampaignDriver::clamp_wall`]), or abandon the
-//! remaining faults ([`CampaignDriver::abandon`]).
+//! construction runs the campaign set-up (preflight, fault enumeration,
+//! static pre-pass, random-pattern phase); every [`CampaignDriver::step`]
+//! then resolves exactly one fault through the same frontier step the
+//! parallel engine commits through, and returns its record. Between
+//! steps a scheduler can park the driver, tighten its wall budget against
+//! an approaching deadline ([`CampaignDriver::clamp_wall`]), or abandon
+//! the remaining faults ([`CampaignDriver::abandon`]).
 //!
 //! The library entry points [`campaign::run`], [`campaign::run_traced`]
 //! and [`campaign::run_certified`] are thin loops over this driver, so
@@ -18,12 +18,13 @@
 use std::time::Duration;
 
 use atpg_easy_netlist::Netlist;
-use atpg_easy_obs::{Counters, InstanceTrace};
+use atpg_easy_obs::{CountingProbe, InstanceTrace};
 
-use crate::campaign::{self, AtpgConfig, CampaignResult, FaultOutcome, FaultRecord};
+use crate::campaign::{
+    self, AtpgConfig, CampaignCore, CampaignResult, FaultRecord, FaultSolver, Verdict,
+};
 use crate::certify::StreamSink;
-use crate::faultsim::{FaultSimulator, SimBuffers};
-use crate::incremental::IncrementalAtpg;
+use crate::faultsim::SimBuffers;
 use crate::Fault;
 
 /// Why a [`CampaignDriver`] could not be built.
@@ -47,33 +48,28 @@ impl std::error::Error for DriverError {}
 
 /// A campaign paused between faults.
 ///
-/// Owns everything the loop needs — netlist, fault list, simulator,
-/// optional warm incremental solver, optional proof sink — so the handle
-/// is `'static`: it can be queued, moved across worker threads and
-/// resumed later.
+/// Owns everything the loop needs — netlist, campaign core, fault solver,
+/// optional proof sink — so the handle is `'static`: it can be queued,
+/// moved across worker threads and resumed later.
 pub struct CampaignDriver {
     nl: Netlist,
     config: AtpgConfig,
-    faults: Vec<Fault>,
-    detected: Vec<bool>,
-    pruned: Vec<bool>,
-    fs: FaultSimulator,
-    inc: Option<IncrementalAtpg>,
+    core: CampaignCore,
+    solver: FaultSolver,
     sink: Option<StreamSink>,
     tracing: bool,
     bufs: SimBuffers,
     next: usize,
-    result: CampaignResult,
     traces: Vec<InstanceTrace>,
     last_proof_bytes: u64,
 }
 
 impl CampaignDriver {
-    /// Builds a driver over `nl`, running the preflight, fault collapse
-    /// and the random-pattern phase. With `tracing`, each solved instance
-    /// also yields an [`InstanceTrace`]; with `certified`, every solve is
-    /// logged into an internal [`StreamSink`] proof stream (retrieve it
-    /// via [`CampaignDriver::into_parts`]).
+    /// Builds a driver over `nl`, running the campaign set-up. With
+    /// `tracing`, each solved instance also yields an [`InstanceTrace`];
+    /// with `certified`, every solve is logged into an internal
+    /// [`StreamSink`] proof stream (retrieve it via
+    /// [`CampaignDriver::into_parts`]).
     ///
     /// # Errors
     ///
@@ -86,49 +82,18 @@ impl CampaignDriver {
         tracing: bool,
         certified: bool,
     ) -> Result<Self, DriverError> {
-        if config.preflight {
-            let report = atpg_easy_lint::preflight(&nl);
-            if report.has_errors() {
-                return Err(DriverError::Preflight(format!(
-                    "netlist `{}` failed ATPG preflight:\n{}",
-                    nl.name(),
-                    report.render_human()
-                )));
-            }
-        }
-        let faults = campaign::target_faults(&nl, config);
-        let pruned = if config.static_prune {
-            campaign::static_prune_mask(&nl, &faults)
-        } else {
-            vec![false; faults.len()]
-        };
-        let fs = FaultSimulator::with_cones(&nl);
-        let mut detected = vec![false; faults.len()];
-        let tests = campaign::random_phase(&nl, config, &fs, &faults, &mut detected);
-        let result = CampaignResult {
-            records: Vec::with_capacity(faults.len()),
-            tests,
-        };
+        let core = CampaignCore::new(&nl, config)?;
         let mut sink = certified.then(StreamSink::new);
-        let inc = config
-            .incremental
-            .then(|| IncrementalAtpg::new(&nl, config));
-        if let (Some(s), Some(warm)) = (sink.as_mut(), inc.as_ref()) {
-            warm.record_base_axioms(s);
-        }
+        let solver = FaultSolver::new(&nl, config, sink.as_mut());
         Ok(CampaignDriver {
             nl,
             config: *config,
-            faults,
-            detected,
-            pruned,
-            fs,
-            inc,
+            core,
+            solver,
             sink,
             tracing,
             bufs: SimBuffers::default(),
             next: 0,
-            result,
             traces: Vec::new(),
             last_proof_bytes: 0,
         })
@@ -146,7 +111,7 @@ impl CampaignDriver {
 
     /// Total faults targeted (collapsed list length).
     pub fn total_faults(&self) -> usize {
-        self.faults.len()
+        self.core.faults.len()
     }
 
     /// Index of the next fault to step; equals the number of records
@@ -157,7 +122,7 @@ impl CampaignDriver {
 
     /// Faults not yet stepped (or abandoned).
     pub fn pending(&self) -> &[Fault] {
-        &self.faults[self.next..]
+        &self.core.faults[self.next..]
     }
 
     /// Faults currently marked detected by simulation or dropping. Read
@@ -165,23 +130,23 @@ impl CampaignDriver {
     /// random-phase retirement count the serving layer reports in its
     /// `start` line.
     pub fn sim_detected(&self) -> usize {
-        self.detected.iter().filter(|&&d| d).count()
+        self.core.detected.iter().filter(|&&d| d).count()
     }
 
     /// Faults the static implication pre-pass proved redundant (0 unless
     /// `config.static_prune`); these are retired without a SAT instance.
     pub fn static_pruned(&self) -> usize {
-        self.pruned.iter().filter(|&&p| p).count()
+        self.core.pruned.iter().filter(|&&p| p).count()
     }
 
     /// Whether every fault has been stepped or abandoned.
     pub fn is_done(&self) -> bool {
-        self.next >= self.faults.len()
+        self.next >= self.core.faults.len()
     }
 
     /// The result accumulated so far.
     pub fn result(&self) -> &CampaignResult {
-        &self.result
+        &self.core.result
     }
 
     /// Instance traces accumulated so far (empty unless built tracing).
@@ -196,15 +161,12 @@ impl CampaignDriver {
     }
 
     /// Tightens the per-solve wall budget to at most `budget` for every
-    /// later step — both the config copy used for cold solves and the
-    /// warm incremental solver, if any. Budgets only ever shrink
+    /// later step, fresh or warm: both solvers read the budget from the
+    /// config at each solve. Budgets only ever shrink
     /// ([`atpg_easy_sat::Limits::clamp_wall`]), so repeated calls with a
     /// shrinking deadline remainder are safe.
     pub fn clamp_wall(&mut self, budget: Duration) {
         self.config.limits = self.config.limits.clamp_wall(budget);
-        if let Some(warm) = self.inc.as_mut() {
-            warm.set_limits(self.config.limits);
-        }
     }
 
     /// Gives up on every pending fault: no more records are emitted and
@@ -212,93 +174,64 @@ impl CampaignDriver {
     /// already produced stay valid — the serving layer flushes `deadline`
     /// verdicts for [`CampaignDriver::pending`] before calling this.
     pub fn abandon(&mut self) {
-        self.next = self.faults.len();
+        self.next = self.core.faults.len();
     }
 
-    /// Resolves the next fault: sim-retired faults get their
-    /// [`FaultOutcome::DetectedBySimulation`] record; everything else is
-    /// solved exactly as [`campaign::run`] would (same solver dispatch,
-    /// same drop-batch application, same trace/proof bookkeeping).
-    /// Returns the record just emitted, or `None` when the campaign is
-    /// complete.
+    /// Resolves the next fault through the campaign's frontier step:
+    /// pruned and sim-retired faults get their records, everything else
+    /// is solved and committed exactly as [`campaign::run`] would. Returns
+    /// the record just emitted, or `None` when the campaign is complete.
     pub fn step(&mut self) -> Option<&FaultRecord> {
         let i = self.next;
-        if i >= self.faults.len() {
+        if i >= self.core.faults.len() {
             return None;
         }
         self.next = i + 1;
-        let f = self.faults[i];
-        if self.pruned[i] {
-            self.last_proof_bytes = 0;
-            self.result
-                .records
-                .push(campaign::static_redundant_record(f));
-            return self.result.records.last();
-        }
-        if self.detected[i] {
-            self.last_proof_bytes = 0;
-            self.result.records.push(campaign::simulated_record(f));
-            return self.result.records.last();
-        }
-        let index = self.result.records.len();
-        let tracing = self.tracing;
-        let (record, counters) = match (self.inc.as_mut(), self.sink.as_mut()) {
-            (Some(warm), Some(s)) => warm.solve_fault_certified(f, &self.config, index, s),
-            (Some(warm), None) if tracing => warm.solve_fault_counted(f, &self.config),
-            (Some(warm), None) => (warm.solve_fault(f, &self.config, None), Counters::default()),
-            (None, Some(s)) => campaign::solve_one_certified(&self.nl, f, &self.config, index, s),
-            (None, None) if tracing => campaign::solve_one_counted(&self.nl, f, &self.config),
-            (None, None) => (
-                campaign::solve_one(&self.nl, f, &self.config),
-                Counters::default(),
-            ),
-        };
-        let proof_bytes = self
-            .sink
-            .as_mut()
-            .map_or(0, StreamSink::take_instance_bytes);
-        self.last_proof_bytes = proof_bytes;
-        if tracing {
-            self.traces.push(campaign::fault_trace(
-                &self.nl,
-                index as u64,
-                &record,
-                counters,
-                0,
-                proof_bytes,
-            ));
-        }
-        if let FaultOutcome::Detected(vector) = &record.outcome {
-            self.detected[i] = true;
-            if self.config.fault_dropping {
-                let hits = self.fs.detect_batch_with(
-                    &self.nl,
-                    std::slice::from_ref(vector),
-                    &self.faults,
-                    &mut self.bufs,
+        self.last_proof_bytes = 0;
+        let (nl, config) = (&self.nl, &self.config);
+        let verdict = |core: &CampaignCore| {
+            let mut probe = self.tracing.then(CountingProbe::default);
+            let cert = self.sink.as_mut().map(|s| (i, s));
+            let record = self
+                .solver
+                .solve(nl, core.faults[i], config, probe.as_mut(), cert);
+            self.last_proof_bytes = self
+                .sink
+                .as_mut()
+                .map_or(0, StreamSink::take_instance_bytes);
+            if let Some(probe) = probe {
+                let trace = campaign::fault_trace(
+                    nl,
+                    i as u64,
+                    &record,
+                    probe.counters,
+                    0,
+                    self.last_proof_bytes,
                 );
-                for (j, hit) in hits.into_iter().enumerate() {
-                    if hit {
-                        self.detected[j] = true;
-                    }
-                }
+                self.traces.push(trace);
             }
-            self.result.tests.push(vector.clone());
-        }
-        self.result.records.push(record);
-        self.result.records.last()
+            Some(Verdict::new(
+                nl,
+                config,
+                &core.fs,
+                &core.faults,
+                record,
+                &mut self.bufs,
+            ))
+        };
+        self.core.step(i, verdict, |_| {})
     }
 
     /// Consumes the driver, returning the accumulated result.
     pub fn into_result(self) -> CampaignResult {
-        self.result
+        self.core.result
     }
 
     /// Consumes the driver, returning the result, the traces (empty
     /// unless built tracing) and the proof sink (present iff built
     /// certified).
     pub fn into_parts(self) -> (CampaignResult, Vec<InstanceTrace>, Option<StreamSink>) {
-        (self.result, self.traces, self.sink)
+        (self.core.result, self.traces, self.sink)
     }
 }
 
@@ -306,7 +239,7 @@ impl std::fmt::Debug for CampaignDriver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CampaignDriver")
             .field("circuit", &self.nl.name())
-            .field("faults", &self.faults.len())
+            .field("faults", &self.core.faults.len())
             .field("position", &self.next)
             .field("tracing", &self.tracing)
             .field("certified", &self.sink.is_some())
@@ -328,27 +261,79 @@ mod tests {
         .unwrap()
     }
 
+    /// Every solver-dispatch arm — fresh or warm, plain, traced or
+    /// certified, with and without the static pre-pass — stepped to
+    /// completion reproduces the library entry point for that mode.
     #[test]
     fn stepping_to_completion_matches_run() {
-        for incremental in [false, true] {
-            let nl = c17();
+        let nl = atpg_easy_circuits::suite::mcnc_like()
+            .into_iter()
+            .find(|c| c.name == "rand60")
+            .expect("suite circuit present")
+            .netlist;
+        for (incremental, static_prune) in
+            [(false, false), (false, true), (true, false), (true, true)]
+        {
             let config = AtpgConfig {
                 random_patterns: 16,
                 seed: 3,
                 incremental,
+                static_prune,
                 ..AtpgConfig::default()
             };
-            let want = campaign::run(&nl, &config);
-            let mut d = CampaignDriver::try_new(nl.clone(), &config, false, false).unwrap();
-            assert_eq!(d.total_faults(), want.records.len());
-            let mut steps = 0;
-            while d.step().is_some() {
-                steps += 1;
+            let plain = campaign::run(&nl, &config);
+            let (traced, traced_traces) = campaign::run_traced(&nl, &config);
+            let certified = campaign::run_certified(&nl, &config);
+            let canon =
+                |t: &[InstanceTrace]| t.iter().map(InstanceTrace::canonical).collect::<Vec<_>>();
+            let modes = [
+                ("plain", false, false, &plain, &[][..]),
+                ("traced", true, false, &traced, &traced_traces[..]),
+                (
+                    "certified",
+                    true,
+                    true,
+                    &certified.result,
+                    &certified.traces[..],
+                ),
+            ];
+            for (mode, tracing, cert, want, want_traces) in modes {
+                let case = format!("incremental={incremental} prune={static_prune} {mode}");
+                let mut d = CampaignDriver::try_new(nl.clone(), &config, tracing, cert).unwrap();
+                assert_eq!(d.total_faults(), want.records.len(), "{case}");
+                assert_eq!(d.static_pruned() > 0, static_prune, "{case}");
+                let mut steps = 0;
+                while d.step().is_some() {
+                    steps += 1;
+                }
+                assert_eq!(steps, d.total_faults(), "{case}");
+                assert!(d.is_done(), "{case}");
+                let (got, traces, sink) = d.into_parts();
+                assert_eq!(got.canonical_report(), want.canonical_report(), "{case}");
+                assert_eq!(canon(&traces), canon(want_traces), "{case}");
+                assert_eq!(
+                    traces.len(),
+                    if tracing {
+                        got.sat_records().count()
+                    } else {
+                        0
+                    }
+                );
+                assert_eq!(sink.is_some(), cert, "{case}");
+                if let Some(sink) = sink {
+                    let audit = atpg_easy_proof::audit_stream(&sink.into_events());
+                    assert!(audit.ok(), "{case}: {:?}", audit.stray_errors);
+                    assert_eq!(audit.uncertified(), 0, "{case}");
+                    assert_eq!(audit.certified(), got.sat_records().count(), "{case}");
+                }
             }
-            assert_eq!(steps, d.total_faults());
-            assert!(d.is_done());
-            let got = d.into_result();
-            assert_eq!(got.canonical_report(), want.canonical_report());
+            // Probes and proof logging only observe: every mode solves to
+            // the same records.
+            assert_eq!(traced.canonical_report(), plain.canonical_report());
+            assert_eq!(
+                certified.result.canonical_report(),
+                plain.canonical_report()
+            );
         }
     }
 

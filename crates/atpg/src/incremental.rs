@@ -38,7 +38,7 @@ use std::time::Instant;
 use atpg_easy_cnf::{circuit, CnfFormula, Lit, Var};
 use atpg_easy_netlist::{topo, GateId, Netlist};
 use atpg_easy_obs::{CountingProbe, NoProbe};
-use atpg_easy_sat::{IncrementalCdcl, Limits, Outcome};
+use atpg_easy_sat::{IncrementalCdcl, Outcome};
 
 use crate::campaign::{AtpgConfig, FaultOutcome, FaultRecord};
 use crate::certify::StreamSink;
@@ -57,7 +57,7 @@ pub struct IncrementalAtpg {
     base_clauses: usize,
     /// The fault-free consistency encoding as built — kept so certified
     /// runs can record it as proof-stream axioms.
-    base_formula: CnfFormula,
+    pub(crate) base_formula: CnfFormula,
     solver: IncrementalCdcl,
     activation_vars: Vec<Var>,
 }
@@ -85,17 +85,6 @@ impl IncrementalAtpg {
         }
     }
 
-    /// Records the fault-free base encoding as proof-stream axioms (after
-    /// a reset). Certified campaigns call this once per warm solver,
-    /// before the first fault; every later derivation checks against
-    /// these clauses plus the per-fault guarded groups.
-    pub fn record_base_axioms(&self, sink: &mut StreamSink) {
-        sink.reset();
-        for clause in self.base_formula.clauses() {
-            sink.axiom(clause);
-        }
-    }
-
     /// Variable range of the base (fault-free) encoding: `0..base_vars`.
     pub fn base_vars(&self) -> usize {
         self.base_vars
@@ -110,16 +99,6 @@ impl IncrementalAtpg {
     /// Access to the underlying solver (read-only, for introspection).
     pub fn solver(&self) -> &IncrementalCdcl {
         &self.solver
-    }
-
-    /// Replaces the per-solve budget of the warm solver without
-    /// discarding its clause database. The serving layer maps what
-    /// remains of a request deadline onto [`Limits`] before each
-    /// scheduling quantum; campaign configs keep their own copy, so
-    /// callers should tighten both (see
-    /// [`CampaignDriver::clamp_wall`](crate::CampaignDriver::clamp_wall)).
-    pub fn set_limits(&mut self, limits: Limits) {
-        self.solver.set_limits(limits);
     }
 
     /// Solves one fault against the warm solver, returning a record
@@ -141,8 +120,9 @@ impl IncrementalAtpg {
     /// `SolveBegin(index)`/`SolveEnd` bracket with the activation literal
     /// as its assumption, and the solver streams its derivations into the
     /// sink — including the failing-subset clause that certifies an
-    /// assumption-level UNSAT.
-    fn solve_fault_with(
+    /// assumption-level UNSAT. The sink must already hold the base
+    /// encoding as axioms, as `FaultSolver::new` records it.
+    pub(crate) fn solve_fault_with(
         &mut self,
         f: Fault,
         config: &AtpgConfig,
@@ -242,6 +222,9 @@ impl IncrementalAtpg {
         }
 
         let assumptions = [Lit::positive(act)];
+        // The budget is the caller's per solve, so a campaign that
+        // tightens its wall budget between faults reaches the warm solver.
+        self.solver.set_limits(config.limits);
         let started = Instant::now();
         let sol = match (probe, cert.as_mut()) {
             (Some(p), None) => self.solver.solve_assuming_probed(&assumptions, p),
@@ -306,37 +289,6 @@ impl IncrementalAtpg {
             solve_time,
             stats: sol.stats,
         }
-    }
-
-    /// [`IncrementalAtpg::solve_fault`] observed through a fresh
-    /// [`CountingProbe`]; returns the probe-derived per-instance event
-    /// totals alongside the record, mirroring
-    /// [`campaign::solve_one_counted`](crate::campaign).
-    pub fn solve_fault_counted(
-        &mut self,
-        f: Fault,
-        config: &AtpgConfig,
-    ) -> (FaultRecord, atpg_easy_obs::Counters) {
-        let mut probe = CountingProbe::default();
-        let record = self.solve_fault(f, config, Some(&mut probe));
-        (record, probe.counters)
-    }
-
-    /// [`IncrementalAtpg::solve_fault_counted`] with certification: the
-    /// fault's guarded clauses, solve bracket and solver derivations are
-    /// appended to `sink`'s proof stream under instance number `index`.
-    /// [`IncrementalAtpg::record_base_axioms`] must have been called on
-    /// the same sink first.
-    pub fn solve_fault_certified(
-        &mut self,
-        f: Fault,
-        config: &AtpgConfig,
-        index: usize,
-        sink: &mut StreamSink,
-    ) -> (FaultRecord, atpg_easy_obs::Counters) {
-        let mut probe = CountingProbe::default();
-        let record = self.solve_fault_with(f, config, Some(&mut probe), Some((index, sink)));
-        (record, probe.counters)
     }
 }
 

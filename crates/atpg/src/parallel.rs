@@ -61,11 +61,13 @@ use std::time::{Duration, Instant};
 use atpg_easy_syncx::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use atpg_easy_netlist::Netlist;
-use atpg_easy_obs::{CampaignMeta, Collector, Counters, InstanceTrace, LocalBuf};
+use atpg_easy_obs::{CampaignMeta, Collector, Counters, CountingProbe, InstanceTrace, LocalBuf};
 
 use atpg_easy_proof::Event;
 
-use crate::campaign::{self, AtpgConfig, CampaignResult, FaultOutcome, FaultRecord};
+use crate::campaign::{
+    self, AtpgConfig, CampaignCore, CampaignResult, FaultOutcome, FaultRecord, FaultSolver, Verdict,
+};
 use crate::certify::StreamSink;
 use crate::faultsim::{FaultSimulator, SimBuffers};
 use crate::Fault;
@@ -166,43 +168,27 @@ impl AtpgCampaign {
     /// Same conditions as [`campaign::run`].
     pub fn run(&self, nl: &Netlist) -> ParallelRun {
         let started = Instant::now();
-        campaign::check_preflight(nl, &self.config);
-        let faults = campaign::target_faults(nl, &self.config);
-        // Static pre-pass: the same mask the sequential driver computes,
-        // so both engines prune (and record) the identical fault set.
-        let pruned = if self.config.static_prune {
-            campaign::static_prune_mask(nl, &faults)
-        } else {
-            vec![false; faults.len()]
-        };
-        let fs = FaultSimulator::with_cones(nl);
-        let mut detected = vec![false; faults.len()];
-
-        // Phase 1: identical to the sequential engine, single-threaded.
-        let tests = campaign::random_phase(nl, &self.config, &fs, &faults, &mut detected);
-        let mut result = CampaignResult {
-            records: Vec::with_capacity(faults.len()),
-            tests,
-        };
-
-        let queue = ShardedQueue::new(faults.len(), self.threads);
-        let drop_bits = DropBitmap::new(faults.len());
-        for (i, &d) in detected.iter().enumerate() {
-            if d || pruned[i] {
+        let mut core = CampaignCore::new(nl, &self.config).unwrap_or_else(|e| panic!("{e}"));
+        let queue = ShardedQueue::new(core.faults.len(), self.threads);
+        let drop_bits = DropBitmap::new(core.faults.len());
+        for (i, (&d, &p)) in core.detected.iter().zip(&core.pruned).enumerate() {
+            if d || p {
                 drop_bits.set(i);
             }
         }
+        // The workers' copy of the fault list; the frontier owns the core.
+        let faults = core.faults.clone();
 
         let trace_sink = self.tracing.then(Collector::<InstanceTrace>::new);
-        let (workers, streams, committed) = std::thread::scope(|scope| {
-            let (tx, rx) = mpsc::channel::<Solved>();
+        let (workers, streams) = std::thread::scope(|scope| {
+            let (tx, rx) = mpsc::channel();
             let mut handles = Vec::with_capacity(self.threads);
             for worker_id in 0..self.threads {
                 let tx = tx.clone();
                 let queue = &queue;
                 let drop_bits = &drop_bits;
                 let faults = &faults;
-                let fs = fs.clone();
+                let fs = core.fs.clone();
                 let config = self.config;
                 let trace_sink = trace_sink.as_ref();
                 let certified = self.certified;
@@ -214,21 +200,13 @@ impl AtpgCampaign {
                 }));
             }
             drop(tx);
-            let committed = commit_loop(
-                rx,
-                &faults,
-                &pruned,
-                &mut detected,
-                &drop_bits,
-                self.window,
-                &mut result,
-            );
-            let (workers, streams): (Vec<WorkerReport>, Vec<Vec<Event>>) = handles
+            commit_loop(rx, &mut core, &drop_bits, self.window);
+            handles
                 .into_iter()
                 .map(|h| h.join().expect("worker threads do not panic"))
-                .unzip();
-            (workers, streams, committed)
+                .unzip::<_, _, Vec<WorkerReport>, Vec<Vec<Event>>>()
         });
+        let result = core.result;
 
         // Keep only traces whose solve was actually committed (a wasted
         // speculative solve commits as a simulated record with no SAT
@@ -237,8 +215,16 @@ impl AtpgCampaign {
         traces.retain(|t| result.records[t.seq as usize].sat_vars > 0);
         traces.sort_unstable_by_key(|t| t.seq);
 
-        // A solve is wasted only when it was never committed at all —
-        // committed UNSAT/abort verdicts are useful work, not waste.
+        // Every fault emits exactly one record, so the commit tallies are
+        // record counts. A solve is wasted only when it was never
+        // committed at all — committed UNSAT/abort verdicts are useful
+        // work, not waste.
+        let count = |pick: fn(&FaultOutcome) -> bool| {
+            result.records.iter().filter(|r| pick(&r.outcome)).count()
+        };
+        let committed_sat = count(|o| matches!(o, FaultOutcome::Detected(_)));
+        let committed_unsat =
+            count(|o| matches!(o, FaultOutcome::Untestable | FaultOutcome::Aborted));
         let solved: usize = workers.iter().map(|w| w.solved).sum();
         let report = ParallelReport {
             threads: self.threads,
@@ -246,11 +232,11 @@ impl AtpgCampaign {
             wall: started.elapsed(),
             queue_depth: faults.len(),
             workers,
-            committed_sat: committed.sat,
-            committed_unsat: committed.unsat,
-            dropped: committed.dropped,
-            static_pruned: committed.pruned,
-            wasted_solves: solved - (committed.sat + committed.unsat),
+            committed_sat,
+            committed_unsat,
+            dropped: count(|o| *o == FaultOutcome::DetectedBySimulation),
+            static_pruned: result.statically_pruned(),
+            wasted_solves: solved - (committed_sat + committed_unsat),
         };
         ParallelRun {
             result,
@@ -507,15 +493,6 @@ impl DropBitmap {
     }
 }
 
-/// A speculatively solved instance on its way to the committer. `hits` is
-/// present for detected faults when dropping is on: one bit per campaign
-/// fault, set iff the test vector detects it.
-struct Solved {
-    index: usize,
-    record: FaultRecord,
-    hits: Option<Vec<u64>>,
-}
-
 #[allow(clippy::too_many_arguments)]
 fn run_worker(
     id: usize,
@@ -527,7 +504,7 @@ fn run_worker(
     drop_bits: &DropBitmap,
     trace_sink: Option<&Collector<InstanceTrace>>,
     certified: bool,
-    tx: mpsc::Sender<Solved>,
+    tx: mpsc::Sender<(usize, Verdict)>,
 ) -> (WorkerReport, Vec<Event>) {
     let mut report = WorkerReport {
         id,
@@ -538,14 +515,7 @@ fn run_worker(
     // auditable — axioms and derivations interleave in this worker's
     // solve order.
     let mut sink = certified.then(StreamSink::new);
-    // Incremental mode: one persistent warm solver per worker thread,
-    // seeded with the fault-free encoding before the first pop.
-    let mut warm = config
-        .incremental
-        .then(|| crate::incremental::IncrementalAtpg::new(nl, config));
-    if let (Some(s), Some(inc)) = (sink.as_mut(), warm.as_ref()) {
-        inc.record_base_axioms(s);
-    }
+    let mut solver = FaultSolver::new(nl, config, sink.as_mut());
     // Scratch simulation buffers, reused across every drop-hit
     // computation this worker performs.
     let mut bufs = SimBuffers::default();
@@ -565,18 +535,13 @@ fn run_worker(
                 report.skipped += 1;
                 continue;
             }
-            let (record, counters) = match (warm.as_mut(), sink.as_mut()) {
-                (Some(inc), Some(s)) => inc.solve_fault_certified(faults[index], config, index, s),
-                (Some(inc), None) => inc.solve_fault_counted(faults[index], config),
-                (None, Some(s)) => {
-                    campaign::solve_one_certified(nl, faults[index], config, index, s)
-                }
-                (None, None) => campaign::solve_one_counted(nl, faults[index], config),
-            };
+            let mut probe = CountingProbe::default();
+            let cert = sink.as_mut().map(|s| (index, s));
+            let record = solver.solve(nl, faults[index], config, Some(&mut probe), cert);
             let proof_bytes = sink.as_mut().map_or(0, StreamSink::take_instance_bytes);
             report.solved += 1;
             report.solve_time += record.solve_time;
-            report.counters.add(&counters);
+            report.counters.add(&probe.counters);
             if let Some(buf) = traces.as_mut() {
                 // Phase 2 commits exactly one record per fault, in fault
                 // order, so the eventual record index equals the fault index.
@@ -584,75 +549,22 @@ fn run_worker(
                     nl,
                     index as u64,
                     &record,
-                    counters,
+                    probe.counters,
                     id as u64,
                     proof_bytes,
                 ));
             }
-            let hits = match &record.outcome {
-                FaultOutcome::Detected(vector) if config.fault_dropping => Some(pack_hits(
-                    &fs.detect_batch_with(nl, std::slice::from_ref(vector), faults, &mut bufs),
-                )),
-                _ => None,
-            };
+            let verdict = Verdict::new(nl, config, fs, faults, record, &mut bufs);
             // The committer may already have passed this fault and hung
             // up; a closed channel just means the solve was wasted.
-            let _ = tx.send(Solved {
-                index,
-                record,
-                hits,
-            });
+            let _ = tx.send((index, verdict));
         }
     }
     (report, sink.map_or_else(Vec::new, StreamSink::into_events))
 }
 
-/// Commit-loop tallies: committed SAT verdicts, committed UNSAT/abort
-/// verdicts, faults retired without a committed solver call, and faults
-/// retired by the static pre-pass.
-struct Committed {
-    sat: usize,
-    unsat: usize,
-    dropped: usize,
-    pruned: usize,
-}
-
-/// Applies a solved instance to the committed state: marks the fault (and
-/// everything its test drops) detected, publishes the drop bits, appends
-/// the test vector, and tallies the verdict. Returns the record for the
-/// caller to emit (immediately at the frontier, or held for in-order
-/// emission when the commit was speculative).
-fn apply_commit(
-    solved: Solved,
-    detected: &mut [bool],
-    drop_bits: &DropBitmap,
-    result: &mut CampaignResult,
-    committed: &mut Committed,
-) -> FaultRecord {
-    if let FaultOutcome::Detected(vector) = &solved.record.outcome {
-        detected[solved.index] = true;
-        drop_bits.set(solved.index);
-        if let Some(hits) = &solved.hits {
-            for (j, d) in detected.iter_mut().enumerate() {
-                if hits[j / 64] >> (j % 64) & 1 != 0 && !*d {
-                    *d = true;
-                    drop_bits.set(j);
-                }
-            }
-        }
-        result.tests.push(vector.clone());
-        committed.sat += 1;
-    } else {
-        // Untestable or aborted: the solver call is committed — and was
-        // necessary — even though no test came out of it.
-        committed.unsat += 1;
-    }
-    solved.record
-}
-
-/// Consumes worker messages and commits faults, appending records and
-/// tests to `result`. This is the only writer of `detected` and
-/// `drop_bits` during phase 2.
+/// Consumes worker verdicts and drives the core's frontier. This is the
+/// only writer of `core.detected` and `drop_bits` during phase 2.
 ///
 /// Committing a fault means applying its verdict to the shared drop
 /// state; emitting it means appending its record to `result.records`.
@@ -666,59 +578,37 @@ fn apply_commit(
 /// it. Within one drain pass, eligible window entries commit in ascending
 /// index order.
 fn commit_loop(
-    rx: mpsc::Receiver<Solved>,
-    faults: &[Fault],
-    pruned: &[bool],
-    detected: &mut [bool],
+    rx: mpsc::Receiver<(usize, Verdict)>,
+    core: &mut CampaignCore,
     drop_bits: &DropBitmap,
     window: usize,
-    result: &mut CampaignResult,
-) -> Committed {
-    let mut committed = Committed {
-        sat: 0,
-        unsat: 0,
-        dropped: 0,
-        pruned: 0,
-    };
-    // Arrived solves not yet committed, keyed by fault index.
-    let mut pending: HashMap<usize, Solved> = HashMap::new();
+) {
+    let total = core.faults.len();
+    // Arrived verdicts not yet committed, keyed by fault index.
+    let mut pending: HashMap<usize, Verdict> = HashMap::new();
     // Records committed ahead of the frontier (window > 1): their effects
     // are already applied, the record waits for in-order emission.
     let mut held: HashMap<usize, FaultRecord> = HashMap::new();
-    // Lowest fault index not yet emitted.
-    let mut frontier = 0usize;
     loop {
         // Drain to a fixpoint: emitting at the frontier widens the window,
         // and a speculative commit can drop the fault the frontier waits
         // on, so the two passes feed each other.
         loop {
-            let before = (frontier, held.len(), pending.len());
-            // Emit in strict index order as far as the state allows.
-            while frontier < faults.len() {
-                if pruned[frontier] {
-                    // Statically pruned: never queued to workers (its
-                    // drop bit was pre-set), emitted straight from the
-                    // pre-pass verdict — mirrors the sequential driver.
-                    result
-                        .records
-                        .push(campaign::static_redundant_record(faults[frontier]));
-                    committed.pruned += 1;
-                    frontier += 1;
-                } else if let Some(record) = held.remove(&frontier) {
-                    result.records.push(record);
-                    frontier += 1;
-                } else if detected[frontier] {
-                    pending.remove(&frontier); // speculative solve, superseded
-                    result
-                        .records
-                        .push(campaign::simulated_record(faults[frontier]));
-                    committed.dropped += 1;
-                    frontier += 1;
-                } else if let Some(solved) = pending.remove(&frontier) {
-                    let record = apply_commit(solved, detected, drop_bits, result, &mut committed);
-                    result.records.push(record);
-                    frontier += 1;
-                } else {
+            let before = (core.result.records.len(), held.len(), pending.len());
+            // Emit in strict index order as far as the state allows. A
+            // pruned fault was never queued (its drop bit was pre-set),
+            // and a detected one discards any speculative verdict.
+            while core.result.records.len() < total {
+                let frontier = core.result.records.len();
+                if let Some(record) = held.remove(&frontier) {
+                    core.result.records.push(record);
+                    continue;
+                }
+                let verdict = pending.remove(&frontier);
+                if core
+                    .step(frontier, |_| verdict, |j| drop_bits.set(j))
+                    .is_none()
+                {
                     break;
                 }
             }
@@ -726,6 +616,7 @@ fn commit_loop(
             // committed state is a deterministic function of the arrival
             // set, not the arrival order.
             if window > 1 {
+                let frontier = core.result.records.len();
                 let mut eligible: Vec<usize> = pending
                     .keys()
                     .copied()
@@ -733,40 +624,28 @@ fn commit_loop(
                     .collect();
                 eligible.sort_unstable();
                 for i in eligible {
-                    if detected[i] {
+                    if core.detected[i] {
                         // Superseded by a commit earlier in this pass; the
                         // frontier will emit a simulated record for it.
                         continue;
                     }
-                    let solved = pending.remove(&i).expect("eligible keys are pending");
-                    let record = apply_commit(solved, detected, drop_bits, result, &mut committed);
-                    held.insert(i, record);
+                    let verdict = pending.remove(&i).expect("eligible keys are pending");
+                    held.insert(i, core.commit(i, verdict, |j| drop_bits.set(j)));
                 }
             }
-            if (frontier, held.len(), pending.len()) == before {
+            if (core.result.records.len(), held.len(), pending.len()) == before {
                 break;
             }
         }
-        if frontier >= faults.len() {
+        let frontier = core.result.records.len();
+        if frontier >= total {
             break;
         }
-        let solved = rx.recv().expect("a worker owns every uncommitted fault");
-        if solved.index >= frontier {
-            pending.insert(solved.index, solved);
+        let (index, verdict) = rx.recv().expect("a worker owns every uncommitted fault");
+        if index >= frontier {
+            pending.insert(index, verdict);
         }
     }
-    committed
-}
-
-/// Packs a per-fault hit list into bitmap words.
-fn pack_hits(hits: &[bool]) -> Vec<u64> {
-    let mut words = vec![0u64; hits.len().div_ceil(64)];
-    for (j, &h) in hits.iter().enumerate() {
-        if h {
-            words[j / 64] |= 1 << (j % 64);
-        }
-    }
-    words
 }
 
 #[cfg(test)]

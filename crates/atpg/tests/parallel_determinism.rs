@@ -65,3 +65,58 @@ fn dominance_collapsed_campaign_is_thread_count_independent() {
         wide.result.canonical_report()
     );
 }
+
+/// The static pre-pass retires faults before any worker sees them: the
+/// parallel engine must emit the same records for them as the sequential
+/// driver, and count them apart from dropped and solved faults.
+#[test]
+fn static_prune_matches_sequential_at_every_thread_count_and_window() {
+    let nl = suite::mcnc_like()
+        .into_iter()
+        .find(|c| c.name == "rand60")
+        .expect("suite circuit present")
+        .netlist;
+    for incremental in [false, true] {
+        let config = AtpgConfig {
+            static_prune: true,
+            incremental,
+            random_patterns: 16,
+            seed: 5,
+            ..AtpgConfig::default()
+        };
+        let sequential = campaign::run(&nl, &config);
+        assert!(
+            sequential.statically_pruned() > 0,
+            "fixture must exercise the static pre-pass"
+        );
+        for threads in [1, 2, 4] {
+            for window in [1, 16] {
+                let case = format!("incremental={incremental} threads={threads} window={window}");
+                let run = AtpgCampaign::new(config)
+                    .with_threads(threads)
+                    .with_commit_window(window)
+                    .run(&nl);
+                assert_eq!(
+                    run.result.detection_report(),
+                    sequential.detection_report(),
+                    "{case}: detection must match the sequential campaign"
+                );
+                if !incremental && window == 1 {
+                    assert_eq!(
+                        run.result.canonical_report(),
+                        sequential.canonical_report(),
+                        "{case}: fresh solving at window 1 keeps byte identity"
+                    );
+                }
+                let r = &run.report;
+                assert!(r.static_pruned > 0, "{case}");
+                assert_eq!(r.static_pruned, run.result.statically_pruned(), "{case}");
+                assert_eq!(
+                    r.committed_solves() + r.dropped + r.static_pruned,
+                    r.queue_depth,
+                    "{case}: every fault is pruned, dropped or solved once"
+                );
+            }
+        }
+    }
+}

@@ -342,11 +342,12 @@ pub fn run() -> ExitCode {
         errors += report.errors();
         warnings += report.warnings();
         if opts.json {
-            json_parts.push(format!(
-                "{{\"target\":\"{}\",\"report\":{}}}",
-                name.replace('\\', "\\\\").replace('"', "\\\""),
-                report.render_json().trim_end()
-            ));
+            let mut part = String::from("{\"target\":\"");
+            atpg_easy_obs::json_escape_into(&mut part, name);
+            part.push_str("\",\"report\":");
+            part.push_str(report.render_json().trim_end());
+            part.push('}');
+            json_parts.push(part);
         } else if report.is_empty() {
             println!("{name}: clean");
         } else {

@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use atpg_easy_atpg::parallel::ParallelReport;
-use atpg_easy_obs::InstanceTrace;
+use atpg_easy_obs::{json_escape_into, InstanceTrace};
 
 use crate::experiment::{fig1_summary, Fig1Point, Fig8Point};
 use crate::predictor;
@@ -315,12 +315,10 @@ impl ScalingReport {
     /// speedups measure scheduler contention, not scaling. No serde in
     /// this workspace — the schema is flat enough to hand-roll.
     pub fn to_json(&self) -> String {
-        fn escape(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
         let base = self.runs.first().map(|r| r.wall.as_secs_f64());
-        let mut s = String::from("{\n");
-        let _ = writeln!(s, "  \"suite\": \"{}\",", escape(&self.suite));
+        let mut s = String::from("{\n  \"suite\": \"");
+        json_escape_into(&mut s, &self.suite);
+        s.push_str("\",\n");
         let _ = writeln!(s, "  \"host_cpus\": {},", self.host_cpus);
         let _ = writeln!(s, "  \"commit_window\": {},", self.commit_window);
         let _ = writeln!(s, "  \"incremental\": {},", self.incremental);
@@ -409,9 +407,6 @@ impl ServeBenchReport {
     /// Renders as JSON (`results/serve.json` schema). No serde in this
     /// workspace — the schema is flat enough to hand-roll.
     pub fn to_json(&self) -> String {
-        fn escape(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
         fn side(s: &mut String, name: &str, b: &ServeBenchSide, comma: bool) {
             let _ = writeln!(
                 s,
@@ -423,8 +418,9 @@ impl ServeBenchReport {
                 if comma { "," } else { "" }
             );
         }
-        let mut s = String::from("{\n");
-        let _ = writeln!(s, "  \"suite\": \"{}\",", escape(&self.suite));
+        let mut s = String::from("{\n  \"suite\": \"");
+        json_escape_into(&mut s, &self.suite);
+        s.push_str("\",\n");
         let _ = writeln!(s, "  \"workers\": {},", self.workers);
         let _ = writeln!(s, "  \"clients\": {},", self.clients);
         let _ = writeln!(s, "  \"repeats\": {},", self.repeats);
@@ -534,6 +530,40 @@ mod parallel_report_tests {
         assert!(j.contains("\"ratio\": 2.000"), "{j}");
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
+    }
+
+    #[test]
+    fn json_suite_names_escape_control_characters() {
+        let suite = "tab\there\nline \"q\" \\".to_string();
+        let side = || ServeBenchSide {
+            wall: Duration::from_secs(1),
+            faults: 1,
+        };
+        let serve = ServeBenchReport {
+            suite: suite.clone(),
+            workers: 1,
+            clients: 1,
+            repeats: 1,
+            passes: 1,
+            host_cpus: 1,
+            library: side(),
+            served: side(),
+        }
+        .to_json();
+        let scaling = ScalingReport {
+            suite,
+            host_cpus: 1,
+            commit_window: 1,
+            incremental: false,
+            runs: Vec::new(),
+        }
+        .to_json();
+        for j in [serve, scaling] {
+            let want = r#""suite": "tab\there\nline \"q\" \\","#;
+            assert!(j.contains(want), "{j}");
+            let line = j.lines().nth(1).expect("the suite is the second line");
+            assert!(!line.chars().any(char::is_control), "{line:?}");
+        }
     }
 
     #[test]

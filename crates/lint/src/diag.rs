@@ -8,6 +8,8 @@
 
 use std::fmt;
 
+use atpg_easy_obs::json_escape_into;
+
 /// How bad a finding is.
 ///
 /// `Error` findings invalidate downstream consumers (solvers, campaigns,
@@ -492,19 +494,17 @@ impl Report {
             }
             let _ = write!(
                 out,
-                "{{\"code\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\"",
-                d.code,
-                d.severity,
-                json_escape(&d.message)
+                "{{\"code\":\"{}\",\"severity\":\"{}\",\"message\":\"",
+                d.code, d.severity
             );
+            json_escape_into(&mut out, &d.message);
+            out.push('"');
             match &d.location {
                 Location::General => {}
                 Location::Net { index, name } => {
-                    let _ = write!(
-                        out,
-                        ",\"net\":{{\"index\":{index},\"name\":\"{}\"}}",
-                        json_escape(name)
-                    );
+                    let _ = write!(out, ",\"net\":{{\"index\":{index},\"name\":\"");
+                    json_escape_into(&mut out, name);
+                    out.push_str("\"}");
                 }
                 Location::Gate { index } => {
                     let _ = write!(out, ",\"gate\":{index}");
@@ -519,7 +519,9 @@ impl Report {
                     let _ = write!(out, ",\"line\":{line}");
                 }
                 Location::Source { file, line } => {
-                    let _ = write!(out, ",\"file\":\"{}\",\"line\":{line}", json_escape(file));
+                    out.push_str(",\"file\":\"");
+                    json_escape_into(&mut out, file);
+                    let _ = write!(out, "\",\"line\":{line}");
                 }
             }
             out.push('}');
@@ -538,26 +540,6 @@ impl fmt::Display for Report {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.render_human())
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

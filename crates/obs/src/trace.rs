@@ -151,12 +151,16 @@ fn push_num(s: &mut String, key: &str, v: u64) {
 }
 
 fn push_str(s: &mut String, key: &str, v: &str) {
-    let _ = write!(s, ",\"{key}\":\"{}\"", json_escape(v));
+    let _ = write!(s, ",\"{key}\":\"");
+    json_escape_into(s, v);
+    s.push('"');
 }
 
-/// Escapes a string for embedding in a JSON literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Appends `s` to `out` escaped for use inside a JSON string literal:
+/// quote, backslash and every control character are escaped, the rest is
+/// copied as is. Every crate that writes JSON escapes through this,
+/// except `proof`, which has no dependencies.
+pub fn json_escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -170,7 +174,6 @@ pub(crate) fn json_escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 /// A scanned value in a flat trace object.

@@ -169,6 +169,8 @@ impl Audit {
     }
 }
 
+// The same escaping as `obs::json_escape_into`, kept here because this
+// crate has no dependencies by design.
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
