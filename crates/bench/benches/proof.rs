@@ -85,7 +85,7 @@ fn median_batch_ratio<A: FnMut(), B: FnMut()>(
     let mut ratios = Vec::with_capacity(batches);
     let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
     for batch in 0..batches {
-        let mut time = |side: &mut dyn FnMut()| {
+        let time = |side: &mut dyn FnMut()| {
             let start = Instant::now();
             for _ in 0..iters {
                 side();

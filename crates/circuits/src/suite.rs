@@ -167,8 +167,8 @@ mod tests {
             let ins: Vec<bool> = (0..4).map(|i| m >> i & 1 != 0).collect();
             let outs = sim::eval_outputs(&nl, &ins);
             let highest = (0..4).rev().find(|&i| ins[i]);
-            for i in 0..4 {
-                assert_eq!(outs[i], highest == Some(i), "m={m} line={i}");
+            for (i, &grant) in outs[..4].iter().enumerate() {
+                assert_eq!(grant, highest == Some(i), "m={m} line={i}");
             }
             assert_eq!(outs[4], m != 0, "valid flag m={m}");
         }

@@ -11,6 +11,7 @@
 //! inversions, as the paper does with SIS `tech_decomp` (Section 5.2.2).
 
 use std::collections::HashMap;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use atpg_easy_atpg::campaign::{self, AtpgConfig, SolverChoice};
@@ -19,7 +20,7 @@ use atpg_easy_circuits::random::{self, RandomCircuitConfig};
 use atpg_easy_circuits::suite::NamedCircuit;
 use atpg_easy_cutwidth::mla::{self, MlaConfig};
 use atpg_easy_cutwidth::Hypergraph;
-use atpg_easy_netlist::{decompose, topo};
+use atpg_easy_netlist::{decompose, topo, NetId, Netlist};
 use atpg_easy_sat::Limits;
 
 /// One Figure-1 data point: an ATPG-SAT instance and the effort to solve
@@ -195,12 +196,37 @@ impl Default for Figure8Config {
 /// circuit, estimate the cut-width of `C_ψ^sub` and record it against the
 /// subcircuit size.
 ///
-/// Faults sharing a fan-out cone share `C_ψ^sub`; the estimate is cached
-/// per cone, and both stuck-at polarities emit their data point exactly as
-/// the paper's per-fault methodology does.
+/// Faults sharing a fan-out cone share `C_ψ^sub`; each distinct cone is
+/// estimated once, and both stuck-at polarities emit their data point
+/// exactly as the paper's per-fault methodology does.
+///
+/// The cones are estimated on every available core
+/// (`std::thread::available_parallelism()`); the points, their content
+/// and their order are the same at any thread count.
+///
+/// # Panics
+///
+/// Panics if a circuit does not decompose, or with the estimator's own
+/// message if `config.mla` is invalid.
 pub fn figure8(circuits: &[NamedCircuit], config: &Figure8Config) -> Vec<Fig8Point> {
-    let mut points = Vec::new();
-    for c in circuits {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    figure8_on(circuits, config, threads)
+}
+
+/// [`figure8`] on at most `threads` worker threads.
+///
+/// Set-up is sequential: every circuit is decomposed and sampled, and
+/// each distinct `(circuit, net)` cone becomes one job, in order of first
+/// occurrence. Workers take jobs from one shared cursor and hand back
+/// only each job's `(size, width)`. The points are then assembled in
+/// fault order, so the thread count cannot change them.
+fn figure8_on(circuits: &[NamedCircuit], config: &Figure8Config, threads: usize) -> Vec<Fig8Point> {
+    let mut netlists = Vec::with_capacity(circuits.len());
+    // One job per distinct cone: (circuit index, faulted net).
+    let mut jobs: Vec<(usize, NetId)> = Vec::new();
+    // The job of every sampled fault, in fault order.
+    let mut fault_jobs = Vec::new();
+    for (ci, c) in circuits.iter().enumerate() {
         let nl = decompose::decompose(&c.netlist, config.decompose_fanin)
             .expect("suite circuits decompose");
         let mut faults = fault::all_faults(&nl);
@@ -210,29 +236,86 @@ pub fn figure8(circuits: &[NamedCircuit], config: &Figure8Config) -> Vec<Fig8Poi
                 faults = faults.into_iter().step_by(stride).collect();
             }
         }
-        // Cache: net -> (size, width); both polarities share the cone.
-        let mut cache: HashMap<usize, (usize, usize)> = HashMap::new();
+        // Both stuck-at polarities share their net's cone.
+        let mut job_of: HashMap<usize, usize> = HashMap::new();
         for f in faults {
-            let (size, width) = *cache.entry(f.net.index()).or_insert_with(|| {
-                let (sub, outs) = topo::fault_subcircuit_nets(&nl, f.net);
-                if outs.is_empty() {
-                    return (0, 0);
-                }
-                let ext = topo::extract_marked(&nl, &sub, &outs);
-                let h = Hypergraph::from_netlist(&ext.netlist);
-                let (w, _) = mla::estimate_cutwidth(&h, &config.mla);
-                (h.num_nodes(), w)
+            let job = *job_of.entry(f.net.index()).or_insert_with(|| {
+                jobs.push((ci, f.net));
+                jobs.len() - 1
             });
-            if size > 0 {
-                points.push(Fig8Point {
-                    circuit: c.name.clone(),
-                    sub_size: size,
-                    cutwidth: width,
-                });
-            }
+            fault_jobs.push(job);
+        }
+        netlists.push(nl);
+    }
+    let cones = estimate_cones(&netlists, &jobs, &config.mla, threads);
+    fault_jobs
+        .into_iter()
+        .filter_map(|job| {
+            let (size, width) = cones[job];
+            (size > 0).then(|| Fig8Point {
+                circuit: circuits[jobs[job].0].name.clone(),
+                sub_size: size,
+                cutwidth: width,
+            })
+        })
+        .collect()
+}
+
+/// `(|C_ψ^sub|, estimated cut-width)` of every job's cone, or `(0, 0)`
+/// for a net that reaches no output, on `min(threads, jobs)` scoped
+/// threads.
+///
+/// Each job takes milliseconds, so one mutex-guarded cursor hands them
+/// out without contention. A worker's panic is re-raised here with its
+/// original payload.
+fn estimate_cones(
+    netlists: &[Netlist],
+    jobs: &[(usize, NetId)],
+    config: &MlaConfig,
+    threads: usize,
+) -> Vec<(usize, usize)> {
+    let cursor = Mutex::new(0);
+    let next_job = || {
+        // The lock is held for no code that can panic.
+        let mut next = cursor.lock().unwrap_or_else(PoisonError::into_inner);
+        *next += 1;
+        *next - 1
+    };
+    let joined: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads.min(jobs.len()))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let job = next_job();
+                        let Some(&(ci, net)) = jobs.get(job) else {
+                            break done;
+                        };
+                        let nl = &netlists[ci];
+                        let (sub, outs) = topo::fault_subcircuit_nets(nl, net);
+                        let cone = if outs.is_empty() {
+                            (0, 0)
+                        } else {
+                            let ext = topo::extract_marked(nl, &sub, &outs);
+                            let h = Hypergraph::from_netlist(&ext.netlist);
+                            let (w, _) = mla::estimate_cutwidth(&h, config);
+                            (h.num_nodes(), w)
+                        };
+                        done.push((job, cone));
+                    }
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join()).collect()
+    });
+    let mut cones = vec![(0, 0); jobs.len()];
+    for worker in joined {
+        let done = worker.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        for (job, cone) in done {
+            cones[job] = cone;
         }
     }
-    points
+    cones
 }
 
 /// Configuration for [`generated_study`] (Section 5.2.3).
@@ -357,6 +440,163 @@ mod tests {
         let min = pts.iter().map(|p| p.sub_size).min().unwrap();
         let max = pts.iter().map(|p| p.sub_size).max().unwrap();
         assert!(max > min);
+    }
+
+    /// Figure 8 as one single-threaded loop with a per-net cache: the
+    /// reference the fan-out must reproduce.
+    fn sequential_figure8(circuits: &[NamedCircuit], config: &Figure8Config) -> Vec<Fig8Point> {
+        let mut points = Vec::new();
+        for c in circuits {
+            let nl = decompose::decompose(&c.netlist, config.decompose_fanin)
+                .expect("suite circuits decompose");
+            let mut faults = fault::all_faults(&nl);
+            if let Some(cap) = config.max_faults_per_circuit {
+                if faults.len() > cap {
+                    let stride = faults.len().div_ceil(cap);
+                    faults = faults.into_iter().step_by(stride).collect();
+                }
+            }
+            let mut cache: HashMap<usize, (usize, usize)> = HashMap::new();
+            for f in faults {
+                let (size, width) = *cache.entry(f.net.index()).or_insert_with(|| {
+                    let (sub, outs) = topo::fault_subcircuit_nets(&nl, f.net);
+                    if outs.is_empty() {
+                        return (0, 0);
+                    }
+                    let ext = topo::extract_marked(&nl, &sub, &outs);
+                    let h = Hypergraph::from_netlist(&ext.netlist);
+                    let (w, _) = mla::estimate_cutwidth(&h, &config.mla);
+                    (h.num_nodes(), w)
+                });
+                if size > 0 {
+                    points.push(Fig8Point {
+                        circuit: c.name.clone(),
+                        sub_size: size,
+                        cutwidth: width,
+                    });
+                }
+            }
+        }
+        points
+    }
+
+    fn triples(points: &[Fig8Point]) -> Vec<(String, usize, usize)> {
+        points
+            .iter()
+            .map(|p| (p.circuit.clone(), p.sub_size, p.cutwidth))
+            .collect()
+    }
+
+    /// c17 plus an unused input and a gate that drives no output: both
+    /// nets reach no output, so their cones are empty.
+    fn c17_with_dead_logic() -> NamedCircuit {
+        let netlist = atpg_easy_netlist::parser::bench::parse(
+            "INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nINPUT(9)\n\
+             OUTPUT(22)\nOUTPUT(23)\n\
+             10 = NAND(1, 3)\n11 = NAND(3, 6)\n16 = NAND(2, 11)\n\
+             19 = NAND(11, 7)\n22 = NAND(10, 16)\n23 = NAND(16, 19)\n\
+             30 = AND(1, 7)\n",
+        )
+        .expect("fixture parses");
+        NamedCircuit {
+            name: "c17dead".into(),
+            netlist,
+        }
+    }
+
+    #[test]
+    fn figure8_output_does_not_depend_on_thread_count() {
+        let circuits = vec![
+            c17_with_dead_logic(),
+            NamedCircuit {
+                name: "rca6".into(),
+                netlist: atpg_easy_circuits::adders::ripple_carry(6),
+            },
+            NamedCircuit {
+                name: "par8".into(),
+                netlist: atpg_easy_circuits::parity::parity_tree(8),
+            },
+            NamedCircuit {
+                name: "prio6".into(),
+                netlist: suite::priority_encoder(6),
+            },
+        ];
+        let config = Figure8Config {
+            max_faults_per_circuit: Some(40),
+            ..Figure8Config::default()
+        };
+
+        // The fixture exercises what the fan-out must get right: shared
+        // cones, empty cones, a fault cap that bites, and more cones than
+        // the largest thread count.
+        let (mut faults, mut cones, mut empty, mut capped) = (0, 0, 0, 0);
+        for c in &circuits {
+            let nl = decompose::decompose(&c.netlist, config.decompose_fanin)
+                .expect("fixture decomposes");
+            let all = fault::all_faults(&nl);
+            let stride = all.len().div_ceil(40);
+            capped += usize::from(stride > 1);
+            let sampled: Vec<_> = all.into_iter().step_by(stride).collect();
+            let mut nets: Vec<NetId> = sampled.iter().map(|f| f.net).collect();
+            nets.dedup();
+            faults += sampled.len();
+            cones += nets.len();
+            empty += nets
+                .iter()
+                .filter(|&&n| topo::fault_subcircuit_nets(&nl, n).1.is_empty())
+                .count();
+        }
+        assert!(capped >= 1, "the fault cap bites somewhere");
+        assert!(faults > cones, "some cones are shared by both polarities");
+        assert!(empty >= 1, "some net reaches no output");
+        assert!(cones > 8, "{cones} cones");
+
+        let want = triples(&sequential_figure8(&circuits, &config));
+        assert!(want.len() < faults, "faults on empty cones emit no point");
+        for threads in [1, 2, 3, 8] {
+            assert_eq!(
+                triples(&figure8_on(&circuits, &config, threads)),
+                want,
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn figure8_with_no_circuits_or_few_cones() {
+        let config = Figure8Config::default();
+        assert!(figure8_on(&[], &config, 4).is_empty());
+
+        let circuits = vec![NamedCircuit {
+            name: "c17".into(),
+            netlist: suite::c17(),
+        }];
+        let config = Figure8Config {
+            max_faults_per_circuit: Some(2),
+            ..Figure8Config::default()
+        };
+        let want = triples(&sequential_figure8(&circuits, &config));
+        assert!((1..=2).contains(&want.len()), "at most two cones");
+        assert_eq!(triples(&figure8_on(&circuits, &config, 8)), want);
+    }
+
+    #[test]
+    #[should_panic(expected = "leaf_size must be in")]
+    fn figure8_reraises_a_worker_panic_with_its_message() {
+        let circuits = vec![NamedCircuit {
+            name: "c17".into(),
+            netlist: suite::c17(),
+        }];
+        figure8(
+            &circuits,
+            &Figure8Config {
+                mla: MlaConfig {
+                    leaf_size: 0,
+                    ..MlaConfig::default()
+                },
+                ..Figure8Config::default()
+            },
+        );
     }
 
     #[test]

@@ -199,7 +199,7 @@ mod tests {
         let p99 = h.percentile(0.99);
         assert!((64..=128).contains(&p99), "{p99}");
         let p100 = h.percentile(1.0);
-        assert!(p100 >= 1_000_000 / 2 && p100 <= 1_000_000, "{p100}");
+        assert!((1_000_000 / 2..=1_000_000).contains(&p100), "{p100}");
     }
 
     #[test]
